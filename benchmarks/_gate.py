@@ -1,7 +1,7 @@
 """Shared bench-baseline gate: one schema, one comparator, one flag.
 
-Every bench that persists numbers (``bench_core``, ``bench_guard_overhead``,
-``bench_serve``) speaks the same JSON schema::
+Every bench that persists numbers (``bench_core``, ``bench_analysis``,
+``bench_guard_overhead``, ``bench_serve``, ...) speaks the same JSON schema::
 
     {
       "schema": 2,
@@ -109,7 +109,7 @@ def compare_cases(
     baseline:
         Payload from :func:`load_baseline` (``None`` -> nothing to gate).
     tolerance:
-        Default allowed relative slowdown (0.25 = 25%).
+        Default allowed relative slowdown (0.50 = 50%).
     tolerances:
         Optional per-case overrides, ``{case: tolerance}``.
     name:

@@ -20,14 +20,14 @@ representative ``(d, l)`` shapes and writes the numbers to
   >= 2x rows/sec over staged, measured in the same run.
 
 ``test_regression_vs_baseline`` gates a fresh run against the committed
-JSON through the shared comparator (``benchmarks/_gate.py``: >25%
+JSON through the shared comparator (``benchmarks/_gate.py``: >50%
 per-case slowdown fails; skips cleanly when no baseline exists).  The
 baseline is captured at import time and rewritten only under
 ``pytest --update-baseline``, so a gating run never dirties the tree.
 
 Absolute numbers are machine-dependent; the committed baseline tracks
 *relative* movement on whatever machine regenerates it, which is why the
-gate is a generous 25%.
+gate is a generous 50% (``DEFAULT_TOLERANCE``).
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def test_write_baseline(core_numbers, update_baseline):
 
 
 def test_regression_vs_baseline(core_numbers, table):
-    """Fail when any case regressed >25% against the committed baseline."""
+    """Fail when any case regressed >50% against the committed baseline."""
     if _BASELINE is None:
         pytest.skip("no committed BENCH_core.json baseline; run once with "
                     "--update-baseline and commit it")

@@ -220,11 +220,11 @@ def test_write_baseline(serve_numbers, update_baseline):
 
 
 def test_regression_vs_baseline(serve_numbers, table):
-    """Fail when any case regressed >25% against the committed baseline."""
+    """Fail when any case regressed >50% against the committed baseline."""
     if _BASELINE is None:
         pytest.skip("no committed BENCH_serve.json baseline; run once with "
                     "--update-baseline and commit it")
-    # Sub-ms single-query throughput swings well beyond the default 25%
+    # Sub-ms single-query throughput swings well beyond the default 50%
     # with machine load; within-run ratios (cache_hit_speedup) stay tight.
     rows, failures = compare_cases(
         serve_numbers,

@@ -25,6 +25,9 @@ from repro.embed.knn import knn_graph
 
 __all__ = ["abod_scores", "abod_outliers"]
 
+_BLOCK_POINTS = 2048
+"""Points scored per batch; bounds the ``(points, k, k)`` temporaries."""
+
 
 def abod_scores(x: np.ndarray, n_neighbors: int = 10) -> np.ndarray:
     """Angle-based outlier factor per point (lower = more anomalous).
@@ -50,22 +53,25 @@ def abod_scores(x: np.ndarray, n_neighbors: int = 10) -> np.ndarray:
             f"need more than n_neighbors={n_neighbors} points, got {n}"
         )
     idx, _ = knn_graph(x, n_neighbors)
-    scores = np.empty(n)
     iu, ju = np.triu_indices(n_neighbors, k=1)
-    for i in range(n):
-        vecs = x[idx[i]] - x[i]  # (k, d)
-        norms2 = np.einsum("ij,ij->i", vecs, vecs)
+    scores = np.empty(n)
+    # Whole blocks of points at once (bounded memory at any n); einsum
+    # rather than ``@`` keeps the dots off BLAS and thread-count invariant.
+    for start in range(0, n, _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
+        vecs = x[idx[block]] - x[block, np.newaxis, :]  # (points, k, d)
+        norms2 = np.einsum("nid,nid->ni", vecs, vecs)
         norms2[norms2 == 0] = np.finfo(np.float64).tiny
         norms = np.sqrt(norms2)
-        dots = vecs @ vecs.T
-        vals = dots[iu, ju] / (norms2[iu] * norms2[ju])
-        weights = 1.0 / (norms[iu] * norms[ju])
-        wsum = weights.sum()
-        if wsum == 0:
-            scores[i] = 0.0
-            continue
-        mean = float(np.sum(weights * vals) / wsum)
-        scores[i] = float(np.sum(weights * (vals - mean) ** 2) / wsum)
+        dots = np.einsum("nid,njd->nij", vecs, vecs)
+        vals = dots[:, iu, ju] / (norms2[:, iu] * norms2[:, ju])
+        weights = 1.0 / (norms[:, iu] * norms[:, ju])
+        wsum = weights.sum(axis=1)
+        live = wsum != 0
+        wsum[~live] = 1.0
+        mean = np.sum(weights * vals, axis=1) / wsum
+        var = np.sum(weights * (vals - mean[:, np.newaxis]) ** 2, axis=1) / wsum
+        scores[block] = np.where(live, var, 0.0)
     return scores
 
 

@@ -5,7 +5,8 @@ pipeline instead takes the principal directions straight from the FD
 sketch: the top right singular vectors of ``B`` approximate those of
 ``A`` with the FD covariance guarantee, so images can be projected into
 latent space the moment the sketch is ready — no second pass, no
-``d x d`` covariance.
+``d x d`` covariance.  :func:`repro.linalg.svd.sketch_spectrum` reads a
+finalized sketch's ``diag(s) @ Vt`` rows directly, with no factorization.
 
 Centering note: FD sketches the *second moment*, not the covariance.
 For detector images that are intensity-normalized and nonnegative the
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.svd import thin_svd
+from repro.linalg.svd import sketch_spectrum
 
 __all__ = ["SketchPCA"]
 
@@ -71,8 +72,8 @@ class SketchPCA:
         sketch = sketch[nonzero]
         if sketch.shape[0] == 0:
             raise ValueError("sketch has no nonzero rows")
-        _, s, vt = thin_svd(sketch)
-        rank = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
+        s, vt = sketch_spectrum(sketch)
+        rank = int(np.sum(s > s[0] * 1e-12)) if s.size and s[0] > 0 else 0
         if rank == 0:
             raise ValueError("sketch is numerically zero")
         if n_components is None:

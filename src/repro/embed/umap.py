@@ -198,7 +198,8 @@ class UMAP:
 
         New points are initialized at the membership-weighted barycenter
         of their nearest training points' embeddings, then refined with
-        a short SGD run against the *frozen* training layout.
+        a short SGD run against the *frozen* training layout at a quarter
+        of ``learning_rate``, as umap-learn's ``transform`` does.
 
         Parameters
         ----------
@@ -270,7 +271,7 @@ class UMAP:
                 a=self._a,
                 b=self._b,
                 rng=rng,
-                learning_rate=self.learning_rate,
+                learning_rate=self.learning_rate / 4.0,
                 negative_sample_rate=self.negative_sample_rate,
                 move_other=False,
                 fixed_embedding=self.embedding_,

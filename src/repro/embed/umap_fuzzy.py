@@ -9,7 +9,8 @@ Two steps turn a k-NN graph into UMAP's weighted graph:
        ``sum_j exp(-(max(0, d_ij - rho_i)) / sigma_i) = log2(k)``.
 
    ``sigma_i`` is found by bisection; this makes the graph's effective
-   local metric uniform across dense and sparse regions.
+   local metric uniform across dense and sparse regions.  All rows
+   bisect in lockstep, each leaving the active set once it converges.
 
 2. **Symmetrization** — per-point memberships are directed; UMAP merges
    them with the probabilistic t-conorm (fuzzy union)
@@ -61,42 +62,49 @@ def smooth_knn_calibration(
     if local_connectivity < 0:
         raise ValueError("local_connectivity must be nonnegative")
     target = bandwidth_target if bandwidth_target is not None else np.log2(k)
-    rho = np.zeros(n)
-    sigma = np.zeros(n)
     mean_all = float(distances.mean()) if distances.size else 1.0
-    for i in range(n):
-        row = distances[i]
-        nonzero = row[row > 0.0]
-        if nonzero.size >= local_connectivity and local_connectivity > 0:
-            index = int(np.floor(local_connectivity))
-            interp = local_connectivity - index
-            if index > 0:
-                rho[i] = nonzero[index - 1]
-                if interp > 0 and index < nonzero.size:
-                    rho[i] += interp * (nonzero[index] - nonzero[index - 1])
-            else:
-                rho[i] = interp * nonzero[0]
-        elif nonzero.size > 0:
-            rho[i] = float(nonzero.max())
-        # Bisection for sigma.
-        lo, hi, mid = 0.0, np.inf, 1.0
-        for _ in range(_MAX_BISECT_STEPS):
-            shifted = row - rho[i]
-            mass = float(np.sum(np.exp(-np.maximum(shifted, 0.0) / mid)))
-            if abs(mass - target) < SMOOTH_KNN_TOLERANCE:
-                break
-            if mass > target:
-                hi = mid
-                mid = (lo + hi) / 2.0
-            else:
-                lo = mid
-                mid = mid * 2.0 if hi == np.inf else (lo + hi) / 2.0
-        sigma[i] = mid
-        # Floor sigma to avoid degenerate kernels in constant regions
-        # (reference implementation's MIN_K_DIST_SCALE guard).
-        mean_i = float(row.mean()) if row.size else mean_all
-        floor = _MIN_K_DIST_SCALE * (mean_i if rho[i] > 0.0 else mean_all)
-        sigma[i] = max(sigma[i], floor)
+    positive = distances > 0.0
+    n_pos = positive.sum(axis=1)
+    # Row i's positive distances, in order, in the first n_pos[i] columns.
+    order = np.argsort(~positive, axis=1, kind="stable")
+    nonzero = np.take_along_axis(distances, order, axis=1)
+    rho = np.zeros(n)
+    index = int(np.floor(local_connectivity))
+    interp = local_connectivity - index
+    full = (n_pos >= local_connectivity) & (local_connectivity > 0)
+    if full.any():
+        if index > 0:
+            rho[full] = nonzero[full, index - 1]
+            if interp > 0 and index < k:
+                step = full & (index < n_pos)
+                rho[step] += interp * (nonzero[step, index] - nonzero[step, index - 1])
+        else:
+            rho[full] = interp * nonzero[full, 0]
+    rest = ~full & (n_pos > 0)
+    rho[rest] = np.where(positive[rest], distances[rest], -np.inf).max(
+        axis=1, initial=-np.inf
+    )
+    # Bisection for sigma, all unconverged rows in lockstep.
+    lo, hi, mid = np.zeros(n), np.full(n, np.inf), np.ones(n)
+    active = np.arange(n)
+    for _ in range(_MAX_BISECT_STEPS):
+        if active.size == 0:
+            break
+        shifted = distances[active] - rho[active, np.newaxis]
+        m = mid[active]
+        mass = np.sum(np.exp(-np.maximum(shifted, 0.0) / m[:, np.newaxis]), axis=1)
+        # Negated ``<``, not ``>=``: a NaN mass keeps bisecting, as in a loop.
+        going = ~(np.abs(mass - target) < SMOOTH_KNN_TOLERANCE)
+        active, m, above = active[going], m[going], mass[going] > target
+        hi[active] = np.where(above, m, hi[active])
+        lo[active] = np.where(above, lo[active], m)
+        doubling = ~above & (hi[active] == np.inf)
+        mid[active] = np.where(doubling, m * 2.0, (lo[active] + hi[active]) / 2.0)
+    # Floor sigma to avoid degenerate kernels in constant regions
+    # (reference implementation's MIN_K_DIST_SCALE guard).
+    mean_i = distances.mean(axis=1) if k else np.full(n, mean_all)
+    floor = _MIN_K_DIST_SCALE * np.where(rho > 0.0, mean_i, mean_all)
+    sigma = np.where(floor > mid, floor, mid)
     return rho, sigma
 
 

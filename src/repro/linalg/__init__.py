@@ -35,6 +35,7 @@ from repro.linalg.svd import (
     fd_rotate,
     fd_shrink,
     select_rotation_kernel,
+    sketch_spectrum,
     thin_svd,
     truncated_svd,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "residual_fro_norm_estimate",
     "thin_svd",
     "truncated_svd",
+    "sketch_spectrum",
     "fd_shrink",
     "fd_rotate",
     "select_rotation_kernel",

@@ -47,6 +47,7 @@ from repro.obs.registry import get_default_registry
 __all__ = [
     "thin_svd",
     "truncated_svd",
+    "sketch_spectrum",
     "fd_shrink",
     "fd_rotate",
     "select_rotation_kernel",
@@ -128,6 +129,57 @@ def truncated_svd(
             f"k={k} exceeds the number of singular values {s.shape[0]}"
         )
     return u[:, :k], s[:k], vt[:k, :]
+
+
+def sketch_spectrum(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values + right singular rows ``(s, Vt)`` of a sketch.
+
+    Snapshot publication (on the ingest clock) and
+    :class:`repro.embed.pca.SketchPCA` both read the spectrum here, so
+    neither runs a fresh factorization when the sketch's own structure
+    already provides one.  A finalized FD sketch IS ``diag(s) @ Vt`` —
+    both rotation kernels emit exactly that form (Ghashami et al.) — so
+    its rows are orthogonal, row norms are the singular values, and
+    normalizing rows yields ``Vt`` directly, an ``O(l' d)`` read.  The
+    form is verified before use (non-increasing norms plus
+    consecutive-row orthogonality); inputs that fail it — e.g. a
+    not-yet-rotated buffer of raw rows — take the Gram path (``eigh`` of
+    the ``l' x l'`` Gram matrix), which itself falls back to the exact
+    SVD when ``eigh`` fails.  Directions at the Gram noise floor
+    (``l' * eps * lam_max``) are dropped: they are numerically
+    rank-deficient, and the exact SVD would serve noise there too.  An
+    all-zero ``b`` yields empty ``(s, Vt)``.
+    """
+    m = b.shape[0]
+    norms = np.linalg.norm(b, axis=1)
+    if m and norms[0] > 0:
+        ordered = bool(np.all(np.diff(norms) <= 1e-9 * norms[0]))
+        cross = np.einsum("ij,ij->i", b[:-1], b[1:])
+        orthogonal = bool(
+            np.all(np.abs(cross) <= 1e-8 * norms[:-1] * norms[1:] + 1e-30)
+        )
+        if ordered and orthogonal and norms[-1] > 0:
+            return norms, b / norms[:, np.newaxis]
+    gram = b @ b.T
+    try:
+        lam, w = scipy.linalg.eigh(gram, overwrite_a=True, check_finite=False)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        lam = None
+    if lam is None or not np.all(np.isfinite(lam)):
+        _, s, vt = thin_svd(b)
+        return s, vt
+    lam = lam[::-1]
+    w = w[:, ::-1]
+    top = float(lam[0])
+    if top <= 0.0:
+        return np.zeros(0), np.zeros((0, b.shape[1]))
+    keep = int(np.sum(lam > m * np.finfo(np.float64).eps * top))
+    if keep == 0:
+        _, s, vt = thin_svd(b)
+        return s, vt
+    s = np.sqrt(np.maximum(lam[:keep], 0.0))
+    vt = (w[:, :keep].T @ b) / s[:, np.newaxis]
+    return s, vt
 
 
 def fd_shrink(

@@ -196,39 +196,6 @@ def center_images(images: np.ndarray) -> np.ndarray:
     return out
 
 
-def _center_images_loop(images: np.ndarray) -> np.ndarray:
-    """Pre-vectorization reference implementation of :func:`center_images`.
-
-    Kept as the oracle for equivalence tests and as the "before" case in
-    the ingest benchmarks; iterates frames in a Python loop exactly as
-    the original code did.
-    """
-    images = _check_stack(images)
-    n, h, w = images.shape
-    ys = np.arange(h, dtype=np.float64)
-    xs = np.arange(w, dtype=np.float64)
-    out = np.empty_like(images)
-    cy_target = (h - 1) / 2.0
-    cx_target = (w - 1) / 2.0
-    for i in range(n):
-        img = np.clip(images[i], 0.0, None)
-        total = img.sum()
-        if total == 0 or not np.isfinite(total):
-            out[i] = images[i]
-            continue
-        cy = float((img.sum(axis=1) @ ys) / total)
-        cx = float((img.sum(axis=0) @ xs) / total)
-        if not (np.isfinite(cy) and np.isfinite(cx)):
-            out[i] = images[i]
-            continue
-        out[i] = np.roll(
-            images[i],
-            (int(round(cy_target - cy)), int(round(cx_target - cx))),
-            axis=(0, 1),
-        )
-    return out
-
-
 def crop_images(images: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     """Center-crop each frame to ``size`` (cuts dead detector borders)."""
     images = _check_stack(images)

@@ -8,6 +8,7 @@ import pytest
 from repro.core.frequent_directions import FrequentDirections
 from repro.embed.pca import SketchPCA
 from repro.linalg.random_matrices import matrix_with_spectrum
+from repro.linalg.svd import thin_svd
 
 
 class TestConstruction:
@@ -102,3 +103,33 @@ class TestReconstruction:
         pca = SketchPCA(rng.standard_normal((4, 10)), n_components=3)
         with pytest.raises(ValueError, match="dimension"):
             pca.inverse_transform(np.zeros((2, 4)))
+
+
+class TestSpectrumMatchesThinSVD:
+    """The basis read through ``sketch_spectrum`` agrees with a full thin
+    SVD of the same sketch: singular values to 1e-10 relative, and the
+    same principal subspace."""
+
+    @staticmethod
+    def _check(sketch, k):
+        pca = SketchPCA(sketch, n_components=k)
+        _, s, vt = thin_svd(sketch[np.any(sketch != 0.0, axis=1)])
+        np.testing.assert_allclose(pca.singular_values_, s[:k], rtol=1e-10)
+        np.testing.assert_allclose(
+            pca.explained_variance_ratio_, s[:k] ** 2 / np.sum(s**2), rtol=1e-10
+        )
+        proj = pca.components_.T @ pca.components_
+        np.testing.assert_allclose(proj, vt[:k].T @ vt[:k], atol=1e-10)
+
+    @pytest.fixture
+    def x(self, rng):
+        return rng.standard_normal((400, 256)) * np.linspace(6.0, 0.5, 256)
+
+    def test_finalized_sketch(self, x):
+        """Orthogonal ``diag(s) @ Vt`` rows: the spectrum is read off."""
+        self._check(FrequentDirections(d=256, ell=16).fit(x).sketch, 8)
+
+    def test_raw_unrotated_buffer(self, x):
+        """Raw data rows are not orthogonal: the Gram path runs."""
+        assert abs(x[0] @ x[1]) > 1e-6 * np.linalg.norm(x[0]) * np.linalg.norm(x[1])
+        self._check(x[:12], 6)

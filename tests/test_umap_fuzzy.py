@@ -5,9 +5,71 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.embed.knn import knn_brute
-from repro.embed.umap_fuzzy import fuzzy_simplicial_set, smooth_knn_calibration
+from repro.embed.umap_fuzzy import (
+    _MAX_BISECT_STEPS,
+    _MIN_K_DIST_SCALE,
+    SMOOTH_KNN_TOLERANCE,
+    fuzzy_simplicial_set,
+    smooth_knn_calibration,
+)
+
+
+def _smooth_knn_calibration_loop(distances, local_connectivity=1.0):
+    """Per-row reference: the pre-vectorization bisection loop, verbatim."""
+    distances = np.asarray(distances, dtype=np.float64)
+    n, k = distances.shape
+    target = np.log2(k)
+    rho = np.zeros(n)
+    sigma = np.zeros(n)
+    mean_all = float(distances.mean()) if distances.size else 1.0
+    for i in range(n):
+        row = distances[i]
+        nonzero = row[row > 0.0]
+        if nonzero.size >= local_connectivity and local_connectivity > 0:
+            index = int(np.floor(local_connectivity))
+            interp = local_connectivity - index
+            if index > 0:
+                rho[i] = nonzero[index - 1]
+                if interp > 0 and index < nonzero.size:
+                    rho[i] += interp * (nonzero[index] - nonzero[index - 1])
+            else:
+                rho[i] = interp * nonzero[0]
+        elif nonzero.size > 0:
+            rho[i] = float(nonzero.max())
+        lo, hi, mid = 0.0, np.inf, 1.0
+        for _ in range(_MAX_BISECT_STEPS):
+            shifted = row - rho[i]
+            mass = float(np.sum(np.exp(-np.maximum(shifted, 0.0) / mid)))
+            if abs(mass - target) < SMOOTH_KNN_TOLERANCE:
+                break
+            if mass > target:
+                hi = mid
+                mid = (lo + hi) / 2.0
+            else:
+                lo = mid
+                mid = mid * 2.0 if hi == np.inf else (lo + hi) / 2.0
+        sigma[i] = mid
+        mean_i = float(row.mean()) if row.size else mean_all
+        floor = _MIN_K_DIST_SCALE * (mean_i if rho[i] > 0.0 else mean_all)
+        sigma[i] = max(sigma[i], floor)
+    return rho, sigma
+
+
+@st.composite
+def knn_distances(draw):
+    """Ascending k-NN distance rows with zero distances and ties mixed in."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 20))
+    gen = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    d = gen.random((n, k)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    d[gen.random((n, k)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    if draw(st.booleans()):
+        d = np.round(d, 1)  # ties
+    return np.sort(d, axis=1)
 
 
 class TestSmoothKNN:
@@ -47,6 +109,34 @@ class TestSmoothKNN:
     def test_negative_local_connectivity(self, rng):
         with pytest.raises(ValueError, match="local_connectivity"):
             smooth_knn_calibration(rng.random((5, 4)), local_connectivity=-1)
+
+
+class TestLockstepMatchesLoop:
+    """The lockstep bisection is bit-identical to the per-row loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(knn_distances(), st.sampled_from([0.0, 1.0, 1.5]))
+    def test_bit_identical(self, d, local_connectivity):
+        rho, sigma = smooth_knn_calibration(d, local_connectivity)
+        rho_ref, sigma_ref = _smooth_knn_calibration_loop(d, local_connectivity)
+        assert np.array_equal(rho, rho_ref)
+        assert np.array_equal(sigma, sigma_ref)
+
+    @pytest.mark.parametrize("local_connectivity", [0.0, 0.5, 1.0, 1.5, 3.0, 30.0])
+    def test_edge_rows(self, local_connectivity):
+        d = np.array(
+            [
+                [0.0, 0.0, 0.0, 0.0],  # all zero distances
+                [0.0, 0.0, 0.0, 2.0],  # fewer positives than connectivity
+                [0.5, 0.5, 0.5, 0.5],  # all tied
+                [0.0, 0.1, 0.1, 7.0],
+                [1e-9, 1e-9, 1e3, 1e3],
+            ]
+        )
+        rho, sigma = smooth_knn_calibration(d, local_connectivity)
+        rho_ref, sigma_ref = _smooth_knn_calibration_loop(d, local_connectivity)
+        assert np.array_equal(rho, rho_ref)
+        assert np.array_equal(sigma, sigma_ref)
 
 
 class TestFuzzySet:

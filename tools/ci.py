@@ -11,8 +11,9 @@ Seven tiers, cheapest first, documented in ``docs/ci.md``:
 - **Tier 2 — exhaustive matrices.**  The fault-injection chaos grid
   (``-m chaos``) and the stream-corruption guard grid (``-m guard``).
   Slower, still deterministic.
-- **Tier 3 — bench gates.**  The three persisted-baseline benches
-  (``bench_core``, ``bench_guard_overhead``, ``bench_serve``) compared
+- **Tier 3 — bench gates.**  The four persisted-baseline benches
+  (``bench_core``, ``bench_analysis``, ``bench_guard_overhead``,
+  ``bench_serve``) compared
   against their committed ``BENCH_*.json`` through the shared
   comparator in ``benchmarks/_gate.py``.  Timing-sensitive: run on a
   quiet machine.
@@ -118,6 +119,7 @@ TIERS: dict[int, tuple[str, tuple[Step, ...]]] = {
                     "-m",
                     "pytest",
                     "benchmarks/bench_core.py",
+                    "benchmarks/bench_analysis.py",
                     "benchmarks/bench_guard_overhead.py",
                     "benchmarks/bench_serve.py",
                     "-q",
