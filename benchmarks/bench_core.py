@@ -98,7 +98,8 @@ def _measure_ingest(mode: str, rows: int = 1024) -> dict:
 
     ``staged`` is the seed chain (one full-frame copy per stage);
     ``fused`` / ``fused_fast`` run the single-sweep engine on the
-    float64 (bit-identical) / float32 (frame math) tier.
+    float64 (bit-identical) / float32 (frame math) tier, driven exactly
+    as ``MonitoringPipeline.consume`` drives it.
     """
     rng = np.random.default_rng(7)
     frames = rng.gamma(2.0, 1.0, size=(rows, 256, 256)).astype(np.float32)
@@ -108,14 +109,18 @@ def _measure_ingest(mode: str, rows: int = 1024) -> dict:
     def run():
         guard = FrameGuard(GuardConfig(), registry=NullRegistry())
         sk = ARAMS(d=128 * 128, config=ARAMSConfig(ell=64, precision=precision))
+        batch = guard.screen(frames)
         if mode == "staged":
-            batch = guard.screen(frames)
             sk.partial_fit(pre.apply_flat(batch.accepted))
         else:
-            eng = FusedIngest(
-                sk, pre, guard=guard, registry=NullRegistry(), precision=precision
+            eng = FusedIngest(pre, registry=NullRegistry(), precision=precision)
+            eng.sweep(
+                batch.accepted,
+                sk,
+                certified_finite=guard.config.max_nonfinite_fraction == 0.0,
+                nonneg=batch.accepted_nonneg,
+                norms=batch.accepted_norms,
             )
-            eng.ingest(frames)
 
     run()  # warm up
     return {"rows_per_sec": rows / _best_of(run)}

@@ -3,49 +3,33 @@
 A monitoring deployment must survive restarts without replaying the
 whole run: the sketch *is* the run's summary, so checkpointing it (a few
 ``ell x d`` floats) is enough to resume exactly where ingest stopped.
-``save_sketcher`` / ``load_sketcher`` serialize
-:class:`~repro.core.frequent_directions.FrequentDirections` and
-:class:`~repro.core.rank_adaptive.RankAdaptiveFD` to a single ``.npz``
-file.
+``save_sketcher`` / ``load_sketcher`` serialize any registered
+:class:`~repro.core.backend.SketchBackend` to a single ``.npz`` file.
 
-What round-trips exactly: the buffer (including pending un-rotated
-rows), all counters, the current/maximum rank and the adaptation flags —
-continuing a stream after ``load`` produces bit-identical sketches to
-never having stopped.  The legacy rank-adaptive kind does not persist
-the probe generator (pass a seed to ``load_sketcher`` for deterministic
-resumed runs); every other backend round-trips through its
-``state_dict`` — including RNG state — so resume is bit-exact with no
-seed argument.
-
-Three checkpoint kinds share the ``.npz`` container:
-
-- ``"plain"`` / ``"rank_adaptive"`` — the original field-by-field
-  layouts for exactly :class:`FrequentDirections` and
-  :class:`RankAdaptiveFD`; byte-compatible with checkpoints written
-  before the backend protocol existed.
-- ``"backend"`` — any other registered
-  :class:`~repro.core.backend.SketchBackend`: the backend's name plus
-  its ``state_dict`` entries (``state_``-prefixed), restored via the
-  registry.  This is also the fix for a long-standing gap: a
-  :class:`~repro.core.forgetting.ForgettingFD` used to be saved as
-  ``"plain"``, silently dropping ``gamma`` on reload.
+One layout serves every backend: the backend's registered name plus
+its ``state_dict`` entries (``state_``-prefixed), restored through the
+registry via ``from_state``.  The state dict holds every field,
+including the buffer with pending un-rotated rows, all counters and
+shrinkage totals, the adaptation state and any RNG state, so continuing
+a stream after ``load`` produces bit-identical sketches to never having
+stopped.  Files written by an older format version are refused.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
-from typing import Mapping
-
 from repro.core.backend import SketchBackend, get_backend
-from repro.core.frequent_directions import FrequentDirections
-from repro.core.rank_adaptive import RankAdaptiveFD
 
 __all__ = ["save_sketcher", "load_sketcher", "load_sketcher_with_extras"]
 
-_FORMAT_VERSION = 1
+#: Version 2 dropped the field-by-field ``"plain"``/``"rank_adaptive"``
+#: layouts of version 1; every file now holds the ``"backend"`` kind.
+_FORMAT_VERSION = 2
+_KIND = "backend"
 _EXTRA_PREFIX = "extra_"
 _STATE_PREFIX = "state_"
 
@@ -61,10 +45,7 @@ def save_sketcher(
     ----------
     sketcher:
         Any registered :class:`~repro.core.backend.SketchBackend`
-        (ARAMS users checkpoint ``arams.sketcher``).  Exact
-        :class:`FrequentDirections` / :class:`RankAdaptiveFD` instances
-        keep their original byte layout; everything else goes through
-        the generic ``state_dict`` kind.
+        (ARAMS users checkpoint ``arams.sketcher``).
     path:
         Output file; ``.npz`` is appended by numpy if missing.
     extras:
@@ -78,54 +59,6 @@ def save_sketcher(
     pathlib.Path
         The file actually written.
     """
-    if type(sketcher) not in (FrequentDirections, RankAdaptiveFD):
-        return _save_generic(sketcher, path, extras)
-    payload: dict[str, np.ndarray] = {
-        "format_version": np.array(_FORMAT_VERSION),
-        "kind": np.array(
-            "rank_adaptive" if isinstance(sketcher, RankAdaptiveFD) else "plain"
-        ),
-        "d": np.array(sketcher.d),
-        "ell": np.array(sketcher.ell),
-        "buffer": sketcher._buffer,
-        "next_zero": np.array(sketcher._next_zero),
-        "sketch_rows": np.array(sketcher._sketch_rows),
-        "n_seen": np.array(sketcher.n_seen),
-        "n_rotations": np.array(sketcher.n_rotations),
-        "n_forced_rotations": np.array(sketcher.n_forced_rotations),
-        "rotation_kernel": np.array(sketcher.rotation_kernel),
-        "squared_frobenius": np.array(sketcher.squared_frobenius),
-    }
-    if isinstance(sketcher, RankAdaptiveFD):
-        payload.update(
-            epsilon=np.array(sketcher.epsilon),
-            nu=np.array(sketcher.nu),
-            max_ell=np.array(sketcher.max_ell),
-            expected_rows=np.array(
-                -1 if sketcher.expected_rows is None else sketcher.expected_rows
-            ),
-            relative_error=np.array(sketcher.relative_error),
-            estimator=np.array(sketcher.estimator),
-            increase_pending=np.array(sketcher._increase_pending),
-            n_rank_increases=np.array(sketcher.n_rank_increases),
-            rank_history=np.array(sketcher.rank_history, dtype=np.int64),
-        )
-    for key, value in (extras or {}).items():
-        if key in payload or not key.isidentifier():
-            raise ValueError(f"invalid extras key {key!r}")
-        payload[_EXTRA_PREFIX + key] = np.array(value)
-    path = Path(path)
-    with path.open("wb") as fh:
-        np.savez(fh, **payload)
-    return path
-
-
-def _save_generic(
-    sketcher: SketchBackend,
-    path: str | Path,
-    extras: Mapping[str, int | float] | None = None,
-) -> Path:
-    """Checkpoint any registered backend via its ``state_dict``."""
     name = getattr(type(sketcher), "backend_name", None)
     if name is None:
         raise ValueError(
@@ -135,7 +68,7 @@ def _save_generic(
         )
     payload: dict[str, np.ndarray] = {
         "format_version": np.array(_FORMAT_VERSION),
-        "kind": np.array("backend"),
+        "kind": np.array(_KIND),
         "backend_name": np.array(name),
     }
     for key, value in sketcher.state_dict().items():
@@ -150,31 +83,20 @@ def _save_generic(
     return path
 
 
-def load_sketcher(
-    path: str | Path, seed: int | None = None
-) -> SketchBackend:
+def load_sketcher(path: str | Path) -> SketchBackend:
     """Restore a sketcher checkpointed by :func:`save_sketcher`.
-
-    Parameters
-    ----------
-    path:
-        Checkpoint file.
-    seed:
-        Seed for the restored rank-adaptation probe generator
-        (legacy rank-adaptive checkpoints only; ignored otherwise —
-        ``"backend"``-kind checkpoints carry their RNG state).
 
     Returns
     -------
     SketchBackend
         Ready to continue ``partial_fit`` exactly where it stopped.
     """
-    sketcher, _ = load_sketcher_with_extras(path, seed=seed)
+    sketcher, _ = load_sketcher_with_extras(path)
     return sketcher
 
 
 def load_sketcher_with_extras(
-    path: str | Path, seed: int | None = None
+    path: str | Path,
 ) -> tuple[SketchBackend, dict[str, float]]:
     """Like :func:`load_sketcher`, also returning the ``extras`` metadata.
 
@@ -189,63 +111,17 @@ def load_sketcher_with_extras(
                 f"(this build reads {_FORMAT_VERSION})"
             )
         kind = str(data["kind"])
-        if kind == "backend":
-            name = str(data["backend_name"])
-            state = {
-                key[len(_STATE_PREFIX):]: data[key]
-                for key in data.files
-                if key.startswith(_STATE_PREFIX)
-            }
-            sketcher = get_backend(name).cls.from_state(state)
-            extras = {
-                key[len(_EXTRA_PREFIX):]: float(data[key])
-                for key in data.files
-                if key.startswith(_EXTRA_PREFIX)
-            }
-            return sketcher, extras
-        d = int(data["d"])
-        ell = int(data["ell"])
-        # Older checkpoints predate kernel selection; "auto" preserves
-        # their behaviour (the heuristic picks per shape, as always).
-        rotation_kernel = (
-            str(data["rotation_kernel"]) if "rotation_kernel" in data.files else "auto"
-        )
-        if kind == "rank_adaptive":
-            sk: FrequentDirections = RankAdaptiveFD(
-                d=d,
-                ell=ell,
-                epsilon=float(data["epsilon"]),
-                nu=int(data["nu"]),
-                max_ell=int(data["max_ell"]),
-                expected_rows=(
-                    None if int(data["expected_rows"]) < 0
-                    else int(data["expected_rows"])
-                ),
-                rng=np.random.default_rng(seed),
-                relative_error=bool(data["relative_error"]),
-                estimator=str(data["estimator"]),
-                rotation_kernel=rotation_kernel,
-            )
-            sk._increase_pending = bool(data["increase_pending"])
-            sk.n_rank_increases = int(data["n_rank_increases"])
-            sk.rank_history = [
-                (int(a), int(b)) for a, b in data["rank_history"]
-            ]
-        elif kind == "plain":
-            sk = FrequentDirections(d=d, ell=ell, rotation_kernel=rotation_kernel)
-        else:
+        if kind != _KIND:
             raise ValueError(f"unknown sketcher kind {kind!r} in checkpoint")
-        sk._buffer = data["buffer"].copy()
-        sk._next_zero = int(data["next_zero"])
-        sk._sketch_rows = int(data["sketch_rows"])
-        sk.n_seen = int(data["n_seen"])
-        sk.n_rotations = int(data["n_rotations"])
-        if "n_forced_rotations" in data.files:
-            sk.n_forced_rotations = int(data["n_forced_rotations"])
-        sk.squared_frobenius = float(data["squared_frobenius"])
+        state = {
+            key[len(_STATE_PREFIX):]: data[key]
+            for key in data.files
+            if key.startswith(_STATE_PREFIX)
+        }
+        sketcher = get_backend(str(data["backend_name"])).cls.from_state(state)
         extras = {
             key[len(_EXTRA_PREFIX):]: float(data[key])
             for key in data.files
             if key.startswith(_EXTRA_PREFIX)
         }
-    return sk, extras
+    return sketcher, extras

@@ -321,9 +321,7 @@ class RankAdaptiveFD(FrequentDirections):
             n_rank_increases=self.n_rank_increases,
             rank_history=np.array(self.rank_history, dtype=np.int64).reshape(-1, 2),
             last_error_estimate=self.last_error_estimate,
-            # Serializing the probe generator makes resume bit-identical
-            # (save_sketcher's npz format predates this and documents the
-            # gap; the state-dict path closes it).
+            # Serializing the probe generator makes resume bit-identical.
             rng_state=rng_state_to_json(self._rng),
         )
         return state

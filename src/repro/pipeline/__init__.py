@@ -9,7 +9,8 @@ ABOD outlier flagging → operator-facing summary.
 - :mod:`repro.pipeline.guard` — FrameGuard screening/quarantine in front
   of the sketch (see ``docs/data_robustness.md``).
 - :mod:`repro.pipeline.ingest` — :class:`FusedIngest`, the single-pass
-  guard → preprocess → sketch hot path (see ``docs/performance.md``).
+  preprocess → sketch sweep behind ``MonitoringPipeline.consume`` (see
+  ``docs/performance.md``).
 - :mod:`repro.pipeline.supervisor` — fail-soft stage supervision for the
   analysis stages (:class:`DegradedResult` instead of raising).
 - :mod:`repro.pipeline.monitor` — :class:`MonitoringPipeline`, the
@@ -35,7 +36,7 @@ from repro.pipeline.guard import (
     QuarantinedFrame,
     RejectReason,
 )
-from repro.pipeline.ingest import FusedIngest, IngestResult
+from repro.pipeline.ingest import FusedIngest
 from repro.pipeline.supervisor import DegradedResult, StageFailure, StageSupervisor
 from repro.pipeline.monitor import MonitoringPipeline, MonitoringResult
 from repro.pipeline.checkpoint import (
@@ -66,7 +67,6 @@ __all__ = [
     "QuarantinedFrame",
     "RejectReason",
     "FusedIngest",
-    "IngestResult",
     "DegradedResult",
     "StageFailure",
     "StageSupervisor",

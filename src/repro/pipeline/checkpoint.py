@@ -3,9 +3,9 @@
 The sketch is the run's irreplaceable summary — a one-pass algorithm
 cannot replay the stream — so the monitor must survive a kill at any
 instant without losing it.  :func:`save_pipeline_checkpoint` writes a
-*generation*: a directory holding the sketcher state (via
-:mod:`repro.core.persistence`), the sampler and probe RNG states, the
-retained rows/latents, the guard's decision state and quarantine
+*generation*: a directory holding the sketcher state including any
+probe RNG (via :mod:`repro.core.persistence`), the sampler RNG state,
+the retained rows/latents, the guard's decision state and quarantine
 summary, the health trajectories and a metric snapshot, all described
 by a versioned ``MANIFEST.json`` carrying a SHA-256 per file.
 
@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.core.arams import ARAMS, ARAMSConfig
 from repro.core.persistence import load_sketcher, save_sketcher
-from repro.core.rank_adaptive import RankAdaptiveFD
 from repro.obs.registry import Registry
 from repro.pipeline.guard import GuardConfig
 from repro.pipeline.monitor import MonitoringPipeline
@@ -57,7 +56,9 @@ __all__ = [
     "prune_generations",
 ]
 
-FORMAT_VERSION = 1
+#: Version 2 carries the probe RNG inside the sketch file and drops the
+#: ``ingest`` config key of version 1.
+FORMAT_VERSION = 2
 _MANIFEST = "MANIFEST.json"
 _SKETCH = "sketch.npz"
 _STATE = "state.json"
@@ -126,7 +127,6 @@ def _pipeline_state(pipe: MonitoringPipeline) -> dict:
     """Everything beyond the sketch buffer needed for exact resume."""
     cfg = pipe.sketch_config
     arams = pipe.sketcher
-    fd = arams.sketcher
     from dataclasses import asdict
 
     config = {
@@ -143,7 +143,6 @@ def _pipeline_state(pipe: MonitoringPipeline) -> dict:
         "retain": pipe.retain,
         "seed": pipe.seed,
         "guard": pipe.guard.config.to_dict() if pipe.guard is not None else None,
-        "ingest": pipe.ingest,
     }
     if config["preprocessor"]["crop"] is not None:
         config["preprocessor"]["crop"] = list(config["preprocessor"]["crop"])
@@ -161,8 +160,6 @@ def _pipeline_state(pipe: MonitoringPipeline) -> dict:
         },
         "guard": pipe.guard.state_dict() if pipe.guard is not None else None,
     }
-    if isinstance(fd, RankAdaptiveFD):
-        runtime["probe_rng"] = fd._rng.bit_generator.state
     metrics = []
     for inst in pipe.registry.instruments():
         if inst.kind in ("counter", "gauge"):
@@ -208,11 +205,6 @@ def save_pipeline_checkpoint(
     """
     if pipe._sketcher is None:
         raise CheckpointError("nothing to checkpoint: no data consumed yet")
-    if pipe.sketch_config.gamma < 1.0:
-        raise CheckpointError(
-            "forgetting sketchers (gamma < 1) do not round-trip through "
-            "core.persistence; pipeline checkpoints require gamma == 1"
-        )
     if keep < 1:
         raise ValueError(f"keep must be >= 1, got {keep}")
     directory = Path(directory)
@@ -386,22 +378,15 @@ def _load_generation(gen_dir: Path, registry: Registry | None) -> MonitoringPipe
         registry=registry if registry is not None else Registry(),
         seed=config["seed"],
         guard=GuardConfig.from_dict(guard_cfg) if guard_cfg is not None else None,
-        # Checkpoints written before the fused path carried no ingest key.
-        ingest=config.get("ingest", "staged"),
     )
 
-    # Rebuild the sketcher around the persisted FD state, then restore
-    # the RNG streams so resumed sampling/probing continues bit-exactly.
+    # Rebuild the sketcher around the persisted backend state (which
+    # carries any probe RNG), then restore the sampler RNG so resumed
+    # sampling continues bit-exactly.
     arams = ARAMS(d=int(runtime["d"]), config=pipe.sketch_config)
-    arams._fd = load_sketcher(gen_dir / _SKETCH, seed=0)
+    arams._fd = load_sketcher(gen_dir / _SKETCH)
     arams._n_offered = int(runtime["n_offered"])
     arams._sample_rng.bit_generator.state = runtime["sample_rng"]
-    if isinstance(arams._fd, RankAdaptiveFD):
-        if "probe_rng" not in runtime:
-            raise CheckpointCorruptionError(
-                f"{gen_dir}: rank-adaptive sketch without a probe RNG state"
-            )
-        arams._fd._rng.bit_generator.state = runtime["probe_rng"]
     pipe._sketcher = arams
     pipe.health.attach(arams)
     # attach() seeds a fresh trajectory point; the saved trajectories

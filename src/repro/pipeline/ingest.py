@@ -1,31 +1,27 @@
-"""Fused single-pass ingest: guard → preprocess → sketch in one sweep.
+"""Fused single-pass ingest: preprocess → sketch in one sweep.
 
-The staged ingest path makes three-plus full passes over every frame
-stack: the guard screens it, each preprocessing step copies the whole
-stack (``repair → crop → threshold → center → normalize``), and the
-sketcher finally copies the rows into its buffer.  For the paper's
-online deployment target that memory traffic — not FLOPs — dominates the
-per-frame cost.
+Run as separate whole-stack stages, the preprocessing chain
+(``repair → crop → threshold → center → normalize``) materializes a
+full float64 copy of every frame stack per step before the sketcher
+sees a single row.  For the paper's online deployment target that
+memory traffic — not FLOPs — dominates the per-frame cost.
 
-:class:`FusedIngest` collapses the chain into one cache-friendly sweep
-per frame stack:
+:class:`FusedIngest` is the ingest path of
+:class:`~repro.pipeline.monitor.MonitoringPipeline`.  After the guard
+has screened a batch, :meth:`FusedIngest.sweep` runs the whole chain in
+one cache-friendly pass per small chunk of frames:
 
-- the guard screens the batch once, and its certificate by-products
-  travel with the batch: the finiteness certificate lets the sketcher
-  skip its own NaN scan, the ``min >= 0`` certificate lets centering
-  skip the negative-pixel clip, and on the float32 tier the guard's
-  squared-norm reduction directly feeds ``normalize(mode="l2")``
-  without a second reduction;
-- preprocessing runs chunk-by-chunk, where a chunk is sized to the
-  sketcher's own insertion slices, and the centering gather writes each
-  processed frame **exactly once** — straight into the sketch buffer
-  view handed out by :meth:`FrequentDirections.reserve_rows` (the
-  zero-copy path), or into a reusable arena when rows must also be
-  retained or priority sampling is on;
-- the sketch consumes the rows in place via
-  :meth:`FrequentDirections.commit_rows` (zero-copy) or one
-  ``partial_fit`` per batch (arena), never re-validating what the guard
-  already certified.
+- the guard's certificate by-products travel with the batch: the
+  finiteness certificate lets the sketcher skip its own NaN scan, the
+  ``min >= 0`` certificate lets centering skip the negative-pixel clip,
+  and on the float32 tier the guard's squared-norm reduction directly
+  feeds ``normalize(mode="l2")`` without a second reduction;
+- the centering gather writes each processed frame **exactly once**,
+  into a fresh ``(n, d)`` row block that the caller owns (the pipeline
+  retains it as is);
+- the sketch consumes that block with one ``partial_fit`` per batch —
+  the priority sampler draws on whole-batch boundaries — without
+  re-validating what the guard already certified.
 
 Two precision tiers, selected by ``ARAMSConfig.precision``:
 
@@ -33,35 +29,32 @@ Two precision tiers, selected by ``ARAMSConfig.precision``:
     Every pass runs in double precision.  The resulting sketch state is
     **bit-identical** to the staged chain (guard → ``Preprocessor.apply_flat``
     → ``partial_fit``) with the same batch boundaries — locked by the
-    hypothesis suite in ``tests/test_ingest_fused.py``.
+    hypothesis suite in ``tests/test_ingest_fused.py``, which keeps the
+    staged chain as its oracle.
 
 ``"float32"``
     Frame math (repair/threshold/centroids) runs in single precision —
     half the memory traffic — and each frame is upcast exactly once as
-    the centering gather writes it into the float64 sketch buffer.
+    the centering gather writes it into the float64 row block.
     Sketch accumulation itself stays float64.  The ~1e-7 relative
     per-pixel error is orders of magnitude below the FD guarantee
     ``||A^T A - B^T B||_2 <= ||A||_F^2 / ell`` and is gated by the FD
     error-bound tests.
 
 Observability: the sweep runs under a ``consume.fused`` span, per-stage
-seconds feed the same ``consume.preprocess`` / ``consume.sketch``
-histograms the staged path uses (so ``preprocess_time``/``sketch_time``
-and throughput dashboards keep working), finer-grained ``fused.*``
-histograms split the sweep, and counters account frames, chunks and
-zero-copy rows.
+seconds feed the ``consume.preprocess`` / ``consume.sketch`` histograms
+(so ``preprocess_time``/``sketch_time`` and throughput dashboards read
+the split), finer-grained ``fused.*`` histograms split the sweep, and
+counters account frames and chunks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.arams import ARAMS
 from repro.obs.clock import now
 from repro.obs.spans import SPAN_HISTOGRAM
-from repro.pipeline.guard import FrameGuard, QuarantinedFrame
 from repro.pipeline.preprocess import (
     Preprocessor,
     center_shifts,
@@ -69,17 +62,16 @@ from repro.pipeline.preprocess import (
     shift_images_into,
 )
 
-__all__ = ["FusedIngest", "IngestResult", "PRECISIONS"]
+__all__ = ["FusedIngest", "PRECISIONS"]
 
 #: Frame-math precision tiers (see module docstring).
 PRECISIONS = ("float64", "float32")
 
-#: Arena-path chunk size in frames.  Large enough that per-chunk numpy
-#: dispatch overhead is amortized, small enough that a chunk's scratch
-#: (two frame-stack copies) stays cache-resident for typical LCLS frame
-#: sizes.  The zero-copy path ignores this and uses the sketcher's own
-#: insertion-slice boundaries.
-_ARENA_CHUNK = 128
+#: Chunk size in frames.  Large enough that per-chunk numpy dispatch
+#: overhead is amortized, small enough that a chunk's scratch (two
+#: frame-stack copies) stays cache-resident for typical LCLS frame
+#: sizes.
+_CHUNK = 128
 
 _NONFINITE_MSG = (
     "rows contain NaN/Inf; repair detector frames first "
@@ -87,87 +79,43 @@ _NONFINITE_MSG = (
 )
 
 
-@dataclass
-class IngestResult:
-    """Outcome of one fused :meth:`FusedIngest.ingest` call."""
-
-    offered: int
-    accepted_ids: np.ndarray
-    rejected: list[QuarantinedFrame] = field(default_factory=list)
-    #: Materialized preprocessed rows when ``keep_rows`` is set, else None.
-    rows: np.ndarray | None = None
-    #: Which sketch feed ran: ``"zero_copy"`` or ``"arena"``.
-    path: str = "arena"
-
-    @property
-    def n_accepted(self) -> int:
-        return int(self.accepted_ids.shape[0])
-
-
 class FusedIngest:
-    """One-sweep guard + preprocess + sketch engine.
+    """One-sweep preprocess + sketch engine.
 
     Parameters
     ----------
-    sketcher:
-        The :class:`~repro.core.arams.ARAMS` front end to feed.  May be
-        ``None`` at construction when the caller supplies it per sweep
-        (the monitoring pipeline builds its sketcher lazily).
     preprocessor:
         Preprocessing chain; defaults to ``Preprocessor()``.
-    guard:
-        Optional :class:`~repro.pipeline.guard.FrameGuard` screening
-        every batch in :meth:`ingest`.  Its certificates (finiteness,
-        non-negativity, L2 norms) are reused by the sweep.
     registry:
         Metric registry for spans/counters; ``None`` uses the process
         default.
     precision:
-        ``"float64"`` or ``"float32"``; ``None`` reads
-        ``sketcher.config.precision`` (falling back to float64).
-    keep_rows:
-        Materialize the preprocessed rows of every batch (required by
-        callers that retain rows, e.g. pipeline latent projection).
-        Forces the arena path — the rows have to exist somewhere — but
-        the sweep itself stays fused.
+        ``"float64"`` or ``"float32"`` frame math.
     """
 
     def __init__(
         self,
-        sketcher: ARAMS | None = None,
         preprocessor: Preprocessor | None = None,
         *,
-        guard: FrameGuard | None = None,
         registry=None,
-        precision: str | None = None,
-        keep_rows: bool = False,
+        precision: str = "float64",
     ):
-        self.sketcher = sketcher
         self.preprocessor = (
             preprocessor if preprocessor is not None else Preprocessor()
         )
-        self.guard = guard
         if registry is None:
             from repro.obs.registry import get_default_registry
 
             registry = get_default_registry()
         self.registry = registry
-        if precision is None:
-            precision = (
-                sketcher.config.precision if sketcher is not None else "float64"
-            )
         if precision not in PRECISIONS:
             raise ValueError(
                 f"precision must be one of {PRECISIONS}, got {precision!r}"
             )
         self.precision = str(precision)
-        self.keep_rows = bool(keep_rows)
-        self._arena: np.ndarray | None = None
-        self._next_auto_id = 0
         # Lifetime accounting (mirrored into registry counters).
         self.n_frames = 0
         self.n_chunks = 0
-        self.n_zero_copy_rows = 0
         labels = {"precision": self.precision}
         self._frames_counter = registry.counter(
             "fused_frames_total",
@@ -179,79 +127,16 @@ class FusedIngest:
             labels=labels,
             help="Chunks processed by the fused sweep",
         )
-        self._zero_copy_counter = registry.counter(
-            "fused_zero_copy_rows_total",
-            labels=labels,
-            help="Rows written zero-copy into the sketch buffer",
-        )
-
-    # ------------------------------------------------------------------
-    # Entry points
-    # ------------------------------------------------------------------
-    def ingest(self, images, shot_ids=None) -> IngestResult:
-        """Screen one batch (if a guard is attached) and sweep it.
-
-        Standalone driver used by benchmarks, serving loops and tests;
-        the monitoring pipeline keeps its own guard bookkeeping and
-        calls :meth:`sweep` directly.
-        """
-        if self.guard is not None:
-            with self.registry.span("consume.guard"):
-                batch = self.guard.screen(images, shot_ids=shot_ids)
-            stack = batch.accepted
-            ids = batch.accepted_ids
-            rejected = batch.rejected
-            offered = batch.offered
-            norms = batch.accepted_norms
-            nonneg = batch.accepted_nonneg
-            certified = self.guard.config.max_nonfinite_fraction == 0.0
-        else:
-            stack = np.asarray(images)
-            if stack.ndim != 3:
-                raise ValueError(
-                    f"expected (n, h, w) image stack, got ndim={stack.ndim}"
-                )
-            n = stack.shape[0]
-            if shot_ids is None:
-                ids = np.arange(
-                    self._next_auto_id, self._next_auto_id + n, dtype=np.int64
-                )
-            else:
-                ids = np.asarray(shot_ids, dtype=np.int64)
-                if ids.shape[0] != n:
-                    raise ValueError(
-                        f"shot_ids length {ids.shape[0]} does not match {n} frames"
-                    )
-            rejected = []
-            offered = n
-            norms = None
-            nonneg = False
-            certified = False
-        if ids.shape[0]:
-            self._next_auto_id = max(self._next_auto_id, int(ids.max()) + 1)
-        rows, path = self.sweep(
-            stack,
-            certified_finite=certified,
-            nonneg=nonneg,
-            norms=norms,
-        )
-        return IngestResult(
-            offered=offered,
-            accepted_ids=ids,
-            rejected=rejected,
-            rows=rows,
-            path=path,
-        )
 
     def sweep(
         self,
         stack: np.ndarray,
-        sketcher: ARAMS | None = None,
+        sketcher: ARAMS,
         *,
         certified_finite: bool = False,
         nonneg: bool = False,
         norms: np.ndarray | None = None,
-    ) -> tuple[np.ndarray | None, str]:
+    ) -> np.ndarray:
         """Fused preprocess + sketch of an already-screened ``(n, h, w)`` stack.
 
         Parameters
@@ -259,7 +144,7 @@ class FusedIngest:
         stack:
             Accepted frames (pixel values untouched by the guard).
         sketcher:
-            ARAMS front end; defaults to the engine's bound sketcher.
+            ARAMS front end receiving the rows.
         certified_finite:
             Every pixel is finite (a guard with
             ``max_nonfinite_fraction == 0`` certifies this).  Lets the
@@ -277,23 +162,20 @@ class FusedIngest:
 
         Returns
         -------
-        (rows, path):
-            ``rows`` is the materialized ``(n, d)`` row block when
-            ``keep_rows`` is set (valid until the next sweep — it is a
-            view of a reused arena), else ``None``.  ``path`` is
-            ``"zero_copy"`` or ``"arena"``.
+        numpy.ndarray
+            The preprocessed ``(n, d)`` float64 rows: a fresh block the
+            caller owns.
         """
-        sk = sketcher if sketcher is not None else self.sketcher
-        if sk is None:
-            raise ValueError("no sketcher bound or supplied")
         pre = self.preprocessor
-        n = int(stack.shape[0])
-        h, w = int(stack.shape[1]), int(stack.shape[2])
+        n, h, w = (int(s) for s in stack.shape)
         ch, cw = pre.crop if pre.crop is not None else (h, w)
-        d = ch * cw
+        if not (0 < ch <= h and 0 < cw <= w):
+            raise ValueError(
+                f"crop size {pre.crop} incompatible with frames of ({h}, {w})"
+            )
+        rows = np.empty((n, ch * cw), dtype=np.float64)
         if n == 0:
-            empty = np.zeros((0, d)) if self.keep_rows else None
-            return empty, "arena"
+            return rows
 
         fast = self.precision == "float32"
         # Does repair actually have to touch pixels?  With a finiteness
@@ -302,10 +184,9 @@ class FusedIngest:
             not certified_finite or pre.hot_sigma is not None
         )
         # Frames reaching the sketch are finite iff certified or repaired;
-        # otherwise the sweep runs the scan the staged sketcher would run
-        # — upfront over the whole stack, so a corrupt batch raises
-        # before anything is committed (exactly like the staged chain,
-        # where FrequentDirections rejects the batch at its boundary).
+        # otherwise the sweep runs the scan the sketcher would run —
+        # upfront over the whole stack, so a corrupt batch raises before
+        # anything is committed.
         must_check = not (certified_finite or pre.repair)
         if must_check and not bool(np.isfinite(stack).all()):
             raise ValueError(_NONFINITE_MSG)
@@ -329,87 +210,38 @@ class FusedIngest:
             and float(pre.threshold) >= 0.0
         )
 
-        writer = None if self.keep_rows else sk.fused_writer()
-        stage_seconds = {
-            "prep": 0.0,
-            "center": 0.0,
-            "normalize": 0.0,
-            "sketch": 0.0,
-        }
+        stage_seconds = {"prep": 0.0, "center": 0.0, "normalize": 0.0}
         with self.registry.span(
             "consume.fused", tags={"precision": self.precision}
         ):
-            if writer is not None:
-                path = "zero_copy"
-                rows = None
-                # Account the batch exactly as ARAMS.partial_fit would
-                # (offered count + on_batch observer) before the sketch
-                # mutates, matching the staged event order.
-                sk.record_fused_batch(offered=n, kept=n)
-                pos = 0
-                while pos < n:
-                    t0 = now()
-                    view = writer.reserve_rows(n - pos)
-                    k = view.shape[0]
-                    stage_seconds["sketch"] += now() - t0
-                    self._process_chunk(
-                        stack[pos : pos + k],
-                        view,
-                        ch,
-                        cw,
-                        certified_finite=certified_finite,
-                        repair_active=repair_active,
-                        assume_nonneg=assume_nonneg,
-                        fast=fast,
-                        guard_norms=(
-                            norms[pos : pos + k] if use_guard_norms else None
-                        ),
-                        stage_seconds=stage_seconds,
-                    )
-                    t0 = now()
-                    writer.commit_rows(k)
-                    stage_seconds["sketch"] += now() - t0
-                    self.n_chunks += 1
-                    self._chunks_counter.inc()
-                    self.n_zero_copy_rows += k
-                    self._zero_copy_counter.inc(k)
-                    pos += k
-            else:
-                path = "arena"
-                arena = self._arena_rows(n, d)
-                pos = 0
-                while pos < n:
-                    k = min(_ARENA_CHUNK, n - pos)
-                    self._process_chunk(
-                        stack[pos : pos + k],
-                        arena[pos : pos + k],
-                        ch,
-                        cw,
-                        certified_finite=certified_finite,
-                        repair_active=repair_active,
-                        assume_nonneg=assume_nonneg,
-                        fast=fast,
-                        guard_norms=(
-                            norms[pos : pos + k] if use_guard_norms else None
-                        ),
-                        stage_seconds=stage_seconds,
-                    )
-                    self.n_chunks += 1
-                    self._chunks_counter.inc()
-                    pos += k
-                rows = arena[:n]
-                t0 = now()
-                # One partial_fit per batch preserves the priority
-                # sampler's RNG draw boundaries; the upfront scan, guard
-                # certificate or repair pass stands in for the
-                # sketcher's own finiteness check.
-                sk.partial_fit(rows, check_finite=False)
-                stage_seconds["sketch"] += now() - t0
-                rows = rows if self.keep_rows else None
+            for pos in range(0, n, _CHUNK):
+                k = min(_CHUNK, n - pos)
+                self._process_chunk(
+                    stack[pos : pos + k],
+                    rows[pos : pos + k],
+                    ch,
+                    cw,
+                    repair_active=repair_active,
+                    assume_nonneg=assume_nonneg,
+                    fast=fast,
+                    guard_norms=(
+                        norms[pos : pos + k] if use_guard_norms else None
+                    ),
+                    stage_seconds=stage_seconds,
+                )
+                self.n_chunks += 1
+                self._chunks_counter.inc()
+            t0 = now()
+            # One partial_fit per batch preserves the priority sampler's
+            # RNG draw boundaries; the upfront scan, guard certificate or
+            # repair pass stands in for the sketcher's own finiteness
+            # check.
+            sketcher.partial_fit(rows, check_finite=False)
+            stage_seconds["sketch"] = now() - t0
         self.n_frames += n
         self._frames_counter.inc(n)
         self._observe_stage_seconds(stage_seconds)
-        return rows, path
+        return rows
 
     # ------------------------------------------------------------------
     # The sweep kernel
@@ -421,7 +253,6 @@ class FusedIngest:
         ch: int,
         cw: int,
         *,
-        certified_finite: bool,
         repair_active: bool,
         assume_nonneg: bool,
         fast: bool,
@@ -524,25 +355,14 @@ class FusedIngest:
             )
         raise ValueError(f"unknown mode {mode!r}")
 
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-    def _arena_rows(self, n: int, d: int) -> np.ndarray:
-        """Reusable float64 ``(>=n, d)`` row arena (grown, never shrunk)."""
-        arena = self._arena
-        if arena is None or arena.shape[0] < n or arena.shape[1] != d:
-            arena = np.empty((n, d), dtype=np.float64)
-            self._arena = arena
-        return arena
-
     def _observe_stage_seconds(self, stage_seconds: dict) -> None:
         """Feed per-stage sweep seconds into the span histograms.
 
-        The prep/center/normalize stages accumulate into the same
-        ``consume.preprocess`` histogram the staged path writes (and the
-        sketch stage into ``consume.sketch``) so existing
-        ``preprocess_time`` / ``sketch_time`` / throughput readers keep
-        working, while ``fused.*`` entries expose the finer split.
+        The prep/center/normalize stages accumulate into
+        ``consume.preprocess`` and the sketch stage into
+        ``consume.sketch`` — the histograms behind ``preprocess_time`` /
+        ``sketch_time`` / throughput — while ``fused.*`` entries expose
+        the finer split.
         """
         reg = self.registry
         prep = (

@@ -8,8 +8,10 @@ outlier flags, with per-stage timings.
 
 Two ingestion modes:
 
-- **single-stream** (:meth:`consume`): batches feed one ARAMS sketcher,
-  the streaming deployment on one core;
+- **single-stream** (:meth:`consume`): batches feed one ARAMS sketcher
+  through :class:`~repro.pipeline.ingest.FusedIngest`, which runs the
+  preprocessing chain and the sketch update in one sweep — the
+  streaming deployment on one core;
 - **sharded** (:meth:`consume_sharded`): the batch is split across a
   simulated rank world, each rank sketches locally, and the sketches
   tree-merge — the paper's parallel deployment, usable for throughput
@@ -161,6 +163,15 @@ class MonitoringResult:
 class MonitoringPipeline:
     """Online image monitoring: sketch → PCA → UMAP → OPTICS / ABOD.
 
+    :meth:`consume` routes accepted frames through
+    :class:`~repro.pipeline.ingest.FusedIngest`, a single-sweep path
+    that reuses the guard's certificates and writes each processed
+    frame exactly once.  With the default float64 precision tier the
+    sketch state is bit-identical to running the preprocessing chain
+    and the sketch update as separate passes;
+    ``ARAMSConfig(precision="float32")`` selects the faster
+    approximate tier (see ``docs/performance.md``).
+
     Parameters
     ----------
     image_shape:
@@ -219,15 +230,6 @@ class MonitoringPipeline:
         (timing views then read as zero).
     seed:
         Master seed for every stochastic stage.
-    ingest:
-        ``"staged"`` (default) runs guard → preprocess → sketch as
-        separate whole-stack passes; ``"fused"`` routes accepted frames
-        through :class:`~repro.pipeline.ingest.FusedIngest`, a
-        single-sweep hot path that reuses the guard's certificates and
-        writes each processed frame exactly once.  With the default
-        float64 precision tier the sketch state is bit-identical to
-        staged ingestion; ``ARAMSConfig(precision="float32")`` selects
-        the faster approximate tier (see ``docs/performance.md``).
 
     Examples
     --------
@@ -256,12 +258,9 @@ class MonitoringPipeline:
         registry: Registry | None = None,
         seed: int | None = None,
         guard: FrameGuard | GuardConfig | bool | None = None,
-        ingest: str = "staged",
     ):
         if retain not in ("rows", "latent"):
             raise ValueError(f"unknown retain mode {retain!r}")
-        if ingest not in ("staged", "fused"):
-            raise ValueError(f"unknown ingest mode {ingest!r}")
         self.image_shape = tuple(image_shape)
         self.preprocessor = (
             preprocessor
@@ -291,8 +290,6 @@ class MonitoringPipeline:
         self.outlier_neighbors = int(outlier_neighbors)
         self.retain = retain
         self.seed = seed
-        self.ingest = ingest
-        self._fused: FusedIngest | None = None
 
         self._sketcher: ARAMS | None = None
         self._analysis: MonitoringResult | None = None
@@ -322,6 +319,11 @@ class MonitoringPipeline:
         self._alerts = None
         self.registry = registry if registry is not None else Registry()
         self.guard = self._build_guard(guard)
+        self._ingest = FusedIngest(
+            self.preprocessor,
+            registry=self.registry,
+            precision=self.sketch_config.precision,
+        )
         self.health = SketchHealth(self.registry)
         self._images_counter = self.registry.counter(
             "pipeline_images_total", help="Images consumed by the pipeline"
@@ -363,7 +365,7 @@ class MonitoringPipeline:
         the batch may be a ragged frame list and comes back as the
         accepted ``(m, h, w)`` stack plus the full
         :class:`~repro.pipeline.guard.GuardBatch` (whose certificate
-        by-products the fused ingest path reuses); without one, it must
+        by-products the fused sweep reuses); without one, it must
         already be a clean stack and the batch slot is ``None``.  Either
         way the pipeline's offered count and shot-id cursor advance.
         """
@@ -376,6 +378,10 @@ class MonitoringPipeline:
             images = batch.accepted
         else:
             images = np.asarray(images)
+            if images.ndim != 3:
+                raise ValueError(
+                    f"expected (n, h, w) image stack, got ndim={images.ndim}"
+                )
             n = images.shape[0]
             if shot_ids is None:
                 ids = np.arange(self._next_shot_id, self._next_shot_id + n, dtype=np.int64)
@@ -406,63 +412,25 @@ class MonitoringPipeline:
         self._batches_counter.inc()
         if images.shape[0] == 0:
             return self  # whole batch quarantined; the sketch sees nothing
-        if self.ingest == "fused":
-            rows = self._consume_fused(images, gb)
-            sk = self._sketcher
-        else:
-            with self.registry.span("consume.preprocess"):
-                rows = self.preprocessor.apply_flat(images)
-            sk = self._ensure_sketcher(rows.shape[1])
-            with self.registry.span("consume.sketch"):
-                sk.partial_fit(rows)
+        crop = self.preprocessor.crop
+        ch, cw = crop if crop is not None else images.shape[1:]
+        sk = self._ensure_sketcher(ch * cw)
+        rows = self._ingest.sweep(
+            images,
+            sk,
+            certified_finite=(
+                self.guard is not None
+                and self.guard.config.max_nonfinite_fraction == 0.0
+            ),
+            nonneg=gb.accepted_nonneg if gb is not None else False,
+            norms=gb.accepted_norms if gb is not None else None,
+        )
         self.n_images += rows.shape[0]
         self.shot_ids.extend(int(s) for s in ids)
         self._images_counter.inc(rows.shape[0])
         self._retain_batch(rows, sk)
         self._maybe_publish()
         return self
-
-    def _ensure_fused(self) -> FusedIngest:
-        if self._fused is None:
-            # The pipeline keeps its own guard bookkeeping in _admit, so
-            # the engine runs guard-less; keep_rows because every retain
-            # mode needs the materialized rows (retention or latent
-            # projection).
-            self._fused = FusedIngest(
-                preprocessor=self.preprocessor,
-                registry=self.registry,
-                precision=self.sketch_config.precision,
-                keep_rows=True,
-            )
-        return self._fused
-
-    def _consume_fused(
-        self, images: np.ndarray, gb: GuardBatch | None
-    ) -> np.ndarray:
-        """Run one accepted stack through the fused sweep; returns rows.
-
-        The returned block is a view of the engine's reusable arena —
-        valid until the next batch — so retention copies it.
-        """
-        h, w = int(images.shape[1]), int(images.shape[2])
-        crop = self.preprocessor.crop
-        ch, cw = crop if crop is not None else (h, w)
-        sk = self._ensure_sketcher(ch * cw)
-        eng = self._ensure_fused()
-        certified = (
-            self.guard is not None
-            and self.guard.config.max_nonfinite_fraction == 0.0
-        )
-        rows, _ = eng.sweep(
-            images,
-            sk,
-            certified_finite=certified,
-            nonneg=gb.accepted_nonneg if gb is not None else False,
-            norms=gb.accepted_norms if gb is not None else None,
-        )
-        if self.retain == "rows":
-            rows = rows.copy()  # outlive the arena's next-batch reuse
-        return rows
 
     def _retain_batch(self, rows: np.ndarray, sk: ARAMS) -> None:
         if self.retain == "rows":
@@ -921,14 +889,11 @@ class MonitoringPipeline:
         }
         summary["n_images"] = self.n_images
         summary["n_offered"] = self.n_offered
-        summary["ingest"] = {"mode": self.ingest}
-        if self._fused is not None:
-            summary["ingest"].update(
-                precision=self._fused.precision,
-                frames=self._fused.n_frames,
-                chunks=self._fused.n_chunks,
-                zero_copy_rows=self._fused.n_zero_copy_rows,
-            )
+        summary["ingest"] = {
+            "precision": self._ingest.precision,
+            "frames": self._ingest.n_frames,
+            "chunks": self._ingest.n_chunks,
+        }
         if self.guard is not None:
             summary["guard"] = self.guard.summary()
         if self._analysis is not None and self._analysis.stages:

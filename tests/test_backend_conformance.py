@@ -143,15 +143,10 @@ class TestContract:
         original = make(info.name)
         feed(original, stream[:300], chunk=29)
         path = save_sketcher(original, tmp_path / "ck.npz")
-        loaded = load_sketcher(path, seed=0)
+        loaded = load_sketcher(path)
         assert type(loaded) is type(original)
         assert np.array_equal(original.sketch, loaded.sketch)
         assert loaded.n_seen == original.n_seen
-        if info.name == "rank_adaptive":
-            # Documented legacy gap: the rank-adaptive npz kind does not
-            # carry the probe RNG (load_sketcher takes a seed instead),
-            # so continuation is deterministic-given-seed, not bitwise.
-            return
         if info.capabilities.streaming:
             feed(original, stream[300:], chunk=31)
             feed(loaded, stream[300:], chunk=31)

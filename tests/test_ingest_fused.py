@@ -1,12 +1,14 @@
-"""Fused ingest engine: equivalence, precision tiers, and plumbing.
+"""Fused ingest sweep: equivalence, precision tiers, and plumbing.
 
-The load-bearing contract of :class:`repro.pipeline.ingest.FusedIngest`
-is *bit-identity*: on the default float64 tier, one fused sweep must
-leave the sketch in exactly the state the staged chain
-(``guard.screen`` → ``Preprocessor.apply_flat`` → ``partial_fit``)
-would, for any preprocessor configuration, any batch split, and any mix
-of clean/corrupt frames.  The hypothesis suite here locks that property;
-the float32 tier is held to the FD covariance bound instead.
+The load-bearing contract of :meth:`repro.pipeline.ingest.FusedIngest.sweep`
+is *bit-identity*: on the default float64 tier, one sweep must leave the
+sketch in exactly the state the staged chain (``guard.screen`` →
+``Preprocessor.apply_flat`` → ``ARAMS.partial_fit``) would, for any
+preprocessor configuration, any batch split, and any mix of
+clean/corrupt frames.  The staged chain lives on here as a test-only
+oracle; the hypothesis suite locks the property for the engine and a
+parametrized check locks it for ``MonitoringPipeline.consume``.  The
+float32 tier is held to the FD covariance bound instead.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from hypothesis import strategies as st
 
 from repro.core.arams import ARAMS, ARAMSConfig
 from repro.core.errors import covariance_error
-from repro.core.frequent_directions import FrequentDirections
 from repro.obs.registry import NullRegistry, Registry
 from repro.pipeline.guard import FrameGuard, GuardConfig
-from repro.pipeline.ingest import FusedIngest, IngestResult
+from repro.pipeline.ingest import FusedIngest
 from repro.pipeline.monitor import MonitoringPipeline
 from repro.pipeline.preprocess import Preprocessor
 
@@ -122,17 +123,29 @@ def _staged_run(pre, batches, d, ell, guard_cfg=None, beta=1.0, seed=0):
 
 
 def _fused_run(
-    pre, batches, d, ell, guard_cfg=None, beta=1.0, seed=0,
-    precision="float64", keep_rows=False,
+    pre, batches, d, ell, guard_cfg=None, beta=1.0, seed=0, precision="float64",
 ):
+    """Drive the sweep the way ``MonitoringPipeline.consume`` does."""
     sk = ARAMS(d, ARAMSConfig(ell=ell, beta=beta, seed=seed, precision=precision))
     guard = FrameGuard(guard_cfg, registry=NullRegistry()) if guard_cfg else None
-    eng = FusedIngest(
-        sk, pre, guard=guard, registry=NullRegistry(),
-        precision=precision, keep_rows=keep_rows,
-    )
-    results = [eng.ingest(b) for b in batches]
-    return sk, guard, eng, results
+    eng = FusedIngest(pre, registry=NullRegistry(), precision=precision)
+    rows, rejected = [], []
+    for b in batches:
+        if guard is None:
+            rows.append(eng.sweep(b, sk))
+            continue
+        gb = guard.screen(b)
+        rejected.extend(gb.rejected)
+        rows.append(
+            eng.sweep(
+                gb.accepted,
+                sk,
+                certified_finite=guard.config.max_nonfinite_fraction == 0.0,
+                nonneg=gb.accepted_nonneg,
+                norms=gb.accepted_norms,
+            )
+        )
+    return sk, guard, rows, rejected
 
 
 class TestBitIdentityFloat64:
@@ -146,10 +159,8 @@ class TestBitIdentityFloat64:
         ch, cw = pre.crop if pre.crop else (h, w)
         d = ch * cw
         staged, _, _ = _staged_run(pre, batches, d, ell)
-        fused, _, eng, _ = _fused_run(pre, batches, d, ell)
+        fused, _, _, _ = _fused_run(pre, batches, d, ell)
         _assert_states_identical(_fd_state(staged), _fd_state(fused))
-        # Without keep_rows and with beta=1 every row goes zero-copy.
-        assert eng.n_zero_copy_rows == imgs.shape[0]
 
     @COMMON
     @given(image_stream(), preprocessor_config(), st.integers(3, 8))
@@ -160,44 +171,41 @@ class TestBitIdentityFloat64:
         d = ch * cw
         cfg = GuardConfig(expected_shape=(h, w))
         staged, g1, rej1 = _staged_run(pre, batches, d, ell, guard_cfg=cfg)
-        fused, g2, eng, results = _fused_run(pre, batches, d, ell, guard_cfg=cfg)
+        fused, g2, _, rej2 = _fused_run(pre, batches, d, ell, guard_cfg=cfg)
         _assert_states_identical(_fd_state(staged), _fd_state(fused))
         # Guard decisions and counters must be indistinguishable.
         assert g1.n_offered == g2.n_offered == imgs.shape[0]
         assert g1.n_accepted == g2.n_accepted
         assert g1.reject_counts == g2.reject_counts
-        rej2 = [r for res in results for r in res.rejected]
         assert [(r.shot_id, r.reason) for r in rej1] == [
             (r.shot_id, r.reason) for r in rej2
         ]
 
     @COMMON
     @given(image_stream(), preprocessor_config(), st.integers(3, 8))
-    def test_keep_rows_arena_path(self, stream, pre, ell):
+    def test_returned_rows_match_staged(self, stream, pre, ell):
+        """Every sweep returns a fresh row block equal to the staged rows;
+        later sweeps never overwrite an earlier block."""
         imgs, batches = stream
         h, w = imgs.shape[1:]
         ch, cw = pre.crop if pre.crop else (h, w)
         d = ch * cw
-        staged, _, _ = _staged_run(pre, batches, d, ell)
-        fused, _, eng, results = _fused_run(pre, batches, d, ell, keep_rows=True)
-        _assert_states_identical(_fd_state(staged), _fd_state(fused))
-        assert eng.n_zero_copy_rows == 0  # keep_rows forces the arena
-        # The last batch's rows are still valid and match the staged chain.
-        last = batches[-1]
-        assert np.array_equal(results[-1].rows, pre.apply_flat(last))
+        _, _, rows, _ = _fused_run(pre, batches, d, ell)
+        for block, batch in zip(rows, batches):
+            assert block.shape == (batch.shape[0], d)
+            assert np.array_equal(block, pre.apply_flat(batch))
 
     @COMMON
     @given(image_stream(), st.floats(0.3, 0.9), st.integers(3, 8))
     def test_priority_sampling_rng_parity(self, stream, beta, ell):
-        """beta < 1 falls back to one partial_fit per batch: the
-        sampler must see identical batches and draw identically."""
+        """beta < 1: the sampler must see identical batches and draw
+        identically."""
         imgs, batches = stream
         d = imgs.shape[1] * imgs.shape[2]
         pre = Preprocessor()
         staged, _, _ = _staged_run(pre, batches, d, ell, beta=beta, seed=11)
-        fused, _, eng, _ = _fused_run(pre, batches, d, ell, beta=beta, seed=11)
+        fused, _, _, _ = _fused_run(pre, batches, d, ell, beta=beta, seed=11)
         _assert_states_identical(_fd_state(staged), _fd_state(fused))
-        assert eng.n_zero_copy_rows == 0
 
 
 class TestFloat32Tier:
@@ -243,137 +251,164 @@ class TestEngineBehavior:
         imgs[3, 2, 2] = np.inf
         pre = Preprocessor(repair=False, center=False, normalize=None)
         sk = ARAMS(36, ARAMSConfig(ell=4))
-        eng = FusedIngest(sk, pre, registry=NullRegistry())
+        eng = FusedIngest(pre, registry=NullRegistry())
         with pytest.raises(ValueError, match="repair detector frames"):
-            eng.ingest(imgs)
+            eng.sweep(imgs, sk)
         assert sk.sketcher.n_seen == 0  # nothing half-committed
 
-    def test_requires_a_sketcher(self):
-        eng = FusedIngest(registry=NullRegistry())
-        with pytest.raises(ValueError, match="sketcher"):
-            eng.sweep(np.ones((2, 4, 4)))
-
     def test_shot_id_length_mismatch(self):
-        sk = ARAMS(16, ARAMSConfig(ell=4))
-        eng = FusedIngest(sk, Preprocessor(), registry=NullRegistry())
+        pipe = MonitoringPipeline(image_shape=(4, 4), registry=NullRegistry())
         with pytest.raises(ValueError, match="shot_ids"):
-            eng.ingest(np.ones((3, 4, 4)), shot_ids=[1, 2])
+            pipe.consume(np.ones((3, 4, 4)), shot_ids=[1, 2])
+        assert pipe.n_images == 0
 
     def test_empty_batch_is_a_noop(self):
         sk = ARAMS(16, ARAMSConfig(ell=4))
-        eng = FusedIngest(sk, Preprocessor(), registry=NullRegistry())
-        res = eng.ingest(np.zeros((0, 4, 4)))
-        assert isinstance(res, IngestResult)
-        assert res.n_accepted == 0
+        eng = FusedIngest(Preprocessor(), registry=NullRegistry())
+        rows = eng.sweep(np.zeros((0, 4, 4)), sk)
+        assert rows.shape == (0, 16)
+        assert sk.n_seen == 0
         assert sk.sketcher.n_seen == 0
 
     def test_counters_and_spans_flow_to_registry(self):
         reg = Registry()
         rng = np.random.default_rng(0)
-        imgs = rng.gamma(2.0, 1.0, size=(40, 8, 8))
+        imgs = rng.gamma(2.0, 1.0, size=(200, 8, 8))
         sk = ARAMS(64, ARAMSConfig(ell=4))
-        eng = FusedIngest(sk, Preprocessor(), registry=reg)
-        eng.ingest(imgs)
+        eng = FusedIngest(Preprocessor(), registry=reg)
+        eng.sweep(imgs, sk)
         labels = {"precision": "float64"}
-        assert reg.get_sample("fused_frames_total", labels).value == 40
-        assert reg.get_sample("fused_zero_copy_rows_total", labels).value == 40
-        # The staged-path histograms keep working in fused mode, so
-        # preprocess_time / sketch_time / throughput readers don't care
-        # which ingest path ran.
+        assert reg.get_sample("fused_frames_total", labels).value == 200
+        assert reg.get_sample("fused_chunks_total", labels).value == 2
+        # The sweep feeds the stage histograms behind preprocess_time /
+        # sketch_time / throughput.
         from repro.obs.spans import SPAN_HISTOGRAM
 
         for span in ("consume.preprocess", "consume.sketch", "consume.fused"):
             sample = reg.get_sample(SPAN_HISTOGRAM, {"span": span})
             assert sample is not None and sample.count >= 1, span
 
-    def test_fused_writer_gating(self):
-        assert isinstance(
-            ARAMS(16, ARAMSConfig(ell=4)).fused_writer(), FrequentDirections
-        )
-        assert ARAMS(16, ARAMSConfig(ell=4, beta=0.5)).fused_writer() is None
+
+def _pipeline_stream(n=150):
+    rng = np.random.default_rng(0)
+    imgs = rng.gamma(2.0, 1.0, size=(n, 20, 20))
+    imgs[7, 3, 3] = np.nan  # quarantined by the guard
+    return imgs
 
 
-class TestReserveCommit:
-    """FD's zero-copy protocol is partial_fit, bit for bit."""
+def _oracle_consume(pipe, images, shot_ids):
+    """The staged chain behind ``consume``: guard → apply_flat → partial_fit.
 
-    def test_matches_partial_fit(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((300, 32))
-        ref = FrequentDirections(d=32, ell=4).partial_fit(x)
-        fd = FrequentDirections(d=32, ell=4)
-        pos = 0
-        while pos < x.shape[0]:
-            view = fd.reserve_rows(x.shape[0] - pos)
-            k = view.shape[0]
-            view[...] = x[pos : pos + k]
-            fd.commit_rows(k)
-            pos += k
-        assert np.array_equal(fd._buffer, ref._buffer)
-        assert fd.squared_frobenius == ref.squared_frobenius
-        assert fd.n_seen == ref.n_seen
-        assert fd.n_rotations == ref.n_rotations
-
-    def test_validates_arguments(self):
-        fd = FrequentDirections(d=8, ell=2)
-        with pytest.raises(ValueError):
-            fd.reserve_rows(0)
-        with pytest.raises(ValueError):
-            fd.commit_rows(-1)
-        view = fd.reserve_rows(fd._buffer.shape[0])
-        with pytest.raises(ValueError, match="reservable"):
-            fd.commit_rows(view.shape[0] + 1)
+    Drives the pipeline's own bookkeeping so only the ingest step
+    differs from :meth:`MonitoringPipeline.consume`.
+    """
+    gb = pipe.guard.screen(images, shot_ids=shot_ids)
+    pipe.n_offered += gb.offered
+    if gb.accepted.shape[0] == 0:
+        return
+    rows = pipe.preprocessor.apply_flat(gb.accepted)
+    sk = pipe._ensure_sketcher(rows.shape[1])
+    sk.partial_fit(rows)
+    pipe.n_images += rows.shape[0]
+    pipe.shot_ids.extend(int(s) for s in gb.accepted_ids)
+    pipe._retain_batch(rows, sk)
 
 
 class TestPipelineFusedMode:
-    def _stream(self):
-        rng = np.random.default_rng(0)
-        imgs = rng.gamma(2.0, 1.0, size=(150, 20, 20))
-        imgs[7, 3, 3] = np.nan  # quarantined by the guard
-        return imgs
-
-    def _run(self, ingest, retain="rows", precision="float64"):
-        imgs = self._stream()
-        pipe = MonitoringPipeline(
-            image_shape=(20, 20), seed=0, guard=True, retain=retain,
-            ingest=ingest,
-            sketch=ARAMSConfig(ell=8, beta=1.0, seed=0, precision=precision),
+    def _make(self, sketch, retain="rows"):
+        return MonitoringPipeline(
+            image_shape=(20, 20), seed=0, guard=True, retain=retain, sketch=sketch
         )
-        for i in range(0, 150, 50):
-            pipe.consume(imgs[i : i + 50], shot_ids=np.arange(i, i + 50))
+
+    def _run(self, sketch, retain="rows", oracle=False):
+        imgs = _pipeline_stream()
+        pipe = self._make(sketch, retain)
+        for i in range(0, imgs.shape[0], 50):
+            ids = np.arange(i, i + 50)
+            if oracle:
+                _oracle_consume(pipe, imgs[i : i + 50], ids)
+            else:
+                pipe.consume(imgs[i : i + 50], shot_ids=ids)
         return pipe
 
-    def test_sketch_rows_and_ids_identical(self):
-        staged = self._run("staged")
-        fused = self._run("fused")
-        assert np.array_equal(
-            staged.sketcher.sketcher._buffer, fused.sketcher.sketcher._buffer
+    @pytest.mark.parametrize("retain", ["rows", "latent"])
+    @pytest.mark.parametrize("beta", [1.0, 0.8])
+    @pytest.mark.parametrize("backend", ["fd", "ipca", "rrf"])
+    def test_matches_staged_oracle(self, backend, beta, retain):
+        sketch = ARAMSConfig(
+            ell=8,
+            beta=beta,
+            epsilon=0.1 if backend == "fd" else None,
+            backend=backend,
+            seed=0,
         )
-        assert np.array_equal(np.vstack(staged._rows), np.vstack(fused._rows))
-        assert staged.shot_ids == fused.shot_ids
-        assert staged.n_images == fused.n_images == 149
-        assert fused.health_summary()["ingest"]["mode"] == "fused"
+        fused = self._run(sketch, retain)
+        staged = self._run(sketch, retain, oracle=True)
 
-    def test_latent_retention_identical(self):
-        staged = self._run("staged", retain="latent")
-        fused = self._run("fused", retain="latent")
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(staged._latents, fused._latents)
+        a = fused.sketcher.sketcher.state_dict()
+        b = staged.sketcher.sketcher.state_dict()
+        assert a.keys() == b.keys()
+        for key in a:
+            assert np.array_equal(a[key], b[key]), key
+        assert np.array_equal(fused.sketcher.sketch, staged.sketcher.sketch)
+        assert (
+            fused.sketcher._sample_rng.bit_generator.state
+            == staged.sketcher._sample_rng.bit_generator.state
+        )
+        if retain == "rows":
+            assert np.array_equal(np.vstack(fused._rows), np.vstack(staged._rows))
+        else:
+            assert len(fused._latents) == len(staged._latents)
+            for x, y in zip(fused._latents, staged._latents):
+                assert np.array_equal(x, y)
+            assert np.array_equal(fused._latent_basis, staged._latent_basis)
+        assert fused.shot_ids == staged.shot_ids
+        assert fused.n_images == staged.n_images == 149
+        assert fused.n_offered == staged.n_offered == 150
+        assert fused.sketcher.n_seen == staged.sketcher.n_seen
+        assert fused.guard.reject_counts == staged.guard.reject_counts
+
+    def _default_run(self, precision):
+        imgs = np.nan_to_num(_pipeline_stream())
+        pipe = MonitoringPipeline(
+            image_shape=(20, 20),
+            seed=0,
+            sketch=ARAMSConfig(seed=0, precision=precision),
+        )
+        for i in range(0, imgs.shape[0], 50):
+            pipe.consume(imgs[i : i + 50])
+        return pipe, imgs
+
+    def test_float32_precision_takes_effect(self):
+        exact, _ = self._default_run("float64")
+        fast, _ = self._default_run("float32")
+        assert not np.array_equal(fast.sketcher.sketch, exact.sketcher.sketch)
+        assert fast.health_summary()["ingest"]["precision"] == "float32"
+
+    def test_float32_pipeline_within_fd_bound(self):
+        fast, imgs = self._default_run("float32")
+        a = fast.preprocessor.apply_flat(imgs)
+        ell = fast.sketcher.ell
+        assert fast.sketcher.sketcher.n_rotations > 0
+        assert covariance_error(a, fast.sketcher.sketch) <= np.sum(a * a) / ell * (
+            1 + 1e-9
         )
 
     def test_retained_rows_survive_arena_reuse(self):
-        """Retention must copy out of the engine's reusable arena."""
-        fused = self._run("fused")
-        first = fused._rows[0].copy()
-        fused.consume(self._stream()[:50], shot_ids=np.arange(900, 950))
-        assert np.array_equal(fused._rows[0], first)
+        """Retained row blocks belong to the pipeline: a later batch
+        never overwrites them."""
+        pipe = self._run(ARAMSConfig(ell=8, beta=1.0, seed=0))
+        first = pipe._rows[0].copy()
+        pipe.consume(_pipeline_stream()[:50], shot_ids=np.arange(900, 950))
+        assert np.array_equal(pipe._rows[0], first)
 
     def test_timing_views_work_in_fused_mode(self):
-        fused = self._run("fused")
-        assert fused.preprocess_time > 0
-        assert fused.sketch_time > 0
-        assert np.isfinite(fused.throughput_hz())
-
-    def test_ingest_mode_validated(self):
-        with pytest.raises(ValueError, match="ingest"):
-            MonitoringPipeline(image_shape=(8, 8), ingest="overlapped")
+        pipe = self._run(ARAMSConfig(ell=8, beta=1.0, seed=0))
+        assert pipe.preprocess_time > 0
+        assert pipe.sketch_time > 0
+        assert np.isfinite(pipe.throughput_hz())
+        assert pipe.health_summary()["ingest"] == {
+            "precision": "float64",
+            "frames": 149,
+            "chunks": 3,
+        }
